@@ -6,6 +6,7 @@ The online half of the system (see ``docs/serving.md``,
 batched engine calls (with bounded, load-shedding queues),
 :mod:`~repro.serving.http` exposes the engine over stdlib HTTP
 (``repro serve``) with per-request deadline budgets and ``/metrics``,
+:mod:`~repro.serving.edge` is the JSON HTTP edge both fronts share,
 :mod:`~repro.serving.router` fronts N replicas with health-checked
 round-robin and read retries (``repro route``),
 :mod:`~repro.serving.metrics` holds the latency histograms,
@@ -21,9 +22,8 @@ from repro.serving.batcher import (
     SearchCoalescer,
 )
 from repro.serving.bootstrap import load_or_prepare
+from repro.serving.edge import BadRequest, HttpError
 from repro.serving.http import (
-    BadRequest,
-    HttpError,
     ServingContext,
     ServingServer,
     filter_from_json,

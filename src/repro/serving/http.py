@@ -33,10 +33,14 @@ RAM-only until the next save, exactly as before this layer existed.
 
 Request/response schemas are documented in ``docs/serving.md`` (with curl
 examples); ``examples/serve_and_query.py`` exercises every endpoint
-end-to-end. Errors return ``{"error": ...}`` with 400 (bad request), 404
-(unknown path/collection), 411/413 (missing/oversized body), 429
-(overloaded — with ``Retry-After``), 504 (deadline exceeded), or 500
-(unexpected).
+end-to-end. Errors return ``{"error": ...}`` with 400 (bad request —
+including non-finite numbers, JSON nested past the decoder's limit and
+filters nested past :data:`MAX_FILTER_DEPTH`), 404 (unknown
+path/collection), 411/413 (missing/oversized body), 429 (overloaded —
+with ``Retry-After``), 504 (deadline exceeded), or 500 (unexpected).
+The wire side — one write per response, ``TCP_NODELAY``, body framing,
+and JSON for the stdlib's own parse errors (400/414/501) — is the
+shared edge in :mod:`repro.serving.edge`.
 
 Resilience (see ``docs/resilience.md``): a request may carry a deadline
 budget in the ``X-Repro-Deadline-Ms`` header — once spent, the request
@@ -63,7 +67,6 @@ import json
 import threading
 import time
 from dataclasses import asdict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -82,6 +85,12 @@ from repro.errors import (
 from repro.geo.bbox import BoundingBox
 from repro.geo.point import GeoPoint
 from repro.serving.batcher import QueryCoalescer, SearchCoalescer
+from repro.serving.edge import (
+    BadRequest,
+    HttpError,
+    JsonRequestHandler,
+    TrackingHTTPServer,
+)
 from repro.serving.metrics import ServingMetrics
 from repro.testing import chaos
 from repro.vectordb.client import VectorDBClient
@@ -100,16 +109,11 @@ from repro.vectordb.filters import (
 )
 
 
-class BadRequest(ValueError):
-    """A client error that should surface as HTTP 400."""
-
-
-class HttpError(ReproError):
-    """An error carrying its own HTTP status (411, 413, ...)."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
+#: Deepest filter nesting the wire form accepts (a lone leaf is depth
+#: 1). Deeper specs answer 400 before any filter is built: evaluation
+#: recurses once per level, so a decodable but pathological spec must
+#: never reach ``Filter.matches``.
+MAX_FILTER_DEPTH = 32
 
 
 def filter_from_json(spec: Any) -> Filter | None:
@@ -127,10 +131,19 @@ def filter_from_json(spec: Any) -> Filter | None:
         {"must": [..]}  {"should": [..]}  {"must_not": ..}
 
     Raises :class:`BadRequest` for malformed specs (unknown node, wrong
-    arity, bad field types) so the endpoint can answer 400.
+    arity, bad field types, nesting beyond :data:`MAX_FILTER_DEPTH`) so
+    the endpoint can answer 400.
     """
+    return _filter_node(spec, 1)
+
+
+def _filter_node(spec: Any, depth: int) -> Filter | None:
     if spec is None:
         return None
+    if depth > MAX_FILTER_DEPTH:
+        raise BadRequest(
+            f"filter nests deeper than {MAX_FILTER_DEPTH} levels"
+        )
     if not isinstance(spec, dict) or len(spec) != 1:
         raise BadRequest(
             "filter must be a one-key object, e.g. {'match': {...}}"
@@ -161,16 +174,32 @@ def filter_from_json(spec: Any) -> Filter | None:
                 float(body["radius_km"]),
             )
         if node == "must":
-            return And(*(filter_from_json(child) for child in body))
+            return And(*(_filter_node(c, depth + 1) for c in body))
         if node == "should":
-            return Or(*(filter_from_json(child) for child in body))
+            return Or(*(_filter_node(c, depth + 1) for c in body))
         if node == "must_not":
-            return Not(filter_from_json(body))
+            return Not(_filter_node(body, depth + 1))
     except BadRequest:
         raise
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise BadRequest(f"bad {node!r} filter: {exc}") from exc
     raise BadRequest(f"unknown filter node {node!r}")
+
+
+def _vector_from_json(raw: Any) -> np.ndarray:
+    """A request's vector as float32; :class:`BadRequest` unless finite.
+
+    Catches what the JSON parser lets through: literals beyond float64
+    (``1e400`` parses as inf) and beyond float32 (overflow on the cast).
+    """
+    try:
+        with np.errstate(over="ignore"):  # overflow is rejected below
+            vector = np.asarray(raw, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise BadRequest(f"bad vector: {exc}") from exc
+    if not np.isfinite(vector).all():
+        raise BadRequest("vector entries must be finite float32 numbers")
+    return vector
 
 
 def _hit_to_json(hit: SearchHit, with_payload: bool = True) -> dict:
@@ -352,13 +381,11 @@ class ServingContext:
             payload = row.get("payload") or {}
             if not isinstance(payload, dict):
                 raise BadRequest("point 'payload' must be an object")
-            try:
-                vector = np.asarray(row["vector"], dtype=np.float32)
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(f"bad vector: {exc}") from exc
-            structs.append(
-                PointStruct(id=str(row["id"]), vector=vector, payload=payload)
-            )
+            structs.append(PointStruct(
+                id=str(row["id"]),
+                vector=_vector_from_json(row["vector"]),
+                payload=payload,
+            ))
         inserted = self._client.upsert(collection, structs)
         target = self._client.get_collection(collection)
         return {
@@ -472,83 +499,10 @@ class ServingContext:
         self.close()
 
 
-# reprolint: disable=RL06 -- a live socket server is never pickled
-class _TrackingHTTPServer(ThreadingHTTPServer):
-    """``ThreadingHTTPServer`` that counts in-flight request handlers.
-
-    Handler threads are daemonic (an *idle* keep-alive connection must
-    not block shutdown), so ``server_close`` cannot be relied on to
-    join them; instead every dispatched request is counted and
-    :meth:`wait_idle` lets a graceful shutdown drain the requests that
-    are actually executing before the coalescers and client close.
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        *args: Any,
-        max_inflight: int | None = None,
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self._inflight = 0
-        self._inflight_cv = threading.Condition()
-        self.max_inflight = max_inflight
-        self.shed_total = 0
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently executing a handler."""
-        with self._inflight_cv:
-            return self._inflight
-
-    def request_began(self) -> bool:
-        """Admit a request unless ``max_inflight`` handlers already run.
-
-        Returns False — and counts the shed — when at capacity; the
-        caller answers 429 without touching the context. Admission and
-        the count are one atomic step, so a burst can never overshoot
-        the cap.
-        """
-        with self._inflight_cv:
-            if (
-                self.max_inflight is not None
-                and self._inflight >= self.max_inflight
-            ):
-                self.shed_total += 1
-                return False
-            self._inflight += 1
-            return True
-
-    def request_finished(self) -> None:
-        with self._inflight_cv:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._inflight_cv.notify_all()
-
-    def wait_idle(self, timeout: float) -> bool:
-        """Block until no request is executing (True) or timeout (False)."""
-        deadline = time.monotonic() + timeout
-        with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._inflight_cv.wait(remaining)
-        return True
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonRequestHandler):
     """Routes requests to the :class:`ServingContext` (set per server)."""
 
-    protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
     context: ServingContext  # injected by ServingServer
-    server: _TrackingHTTPServer
-
-    #: Hard cap on accepted request bodies; larger gets 413 unread. Even
-    #: a full batch of float vectors fits in a fraction of this.
-    MAX_BODY_BYTES = 8 * 1024 * 1024
 
     #: Paths metrics may record verbatim; anything else becomes "other"
     #: so probing scanners cannot grow the route map.
@@ -559,63 +513,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
-    def log_message(self, *args: object) -> None:
-        """Silence per-request stderr logging."""
-
-    def _send_json(
-        self,
-        status: int,
-        body: dict | list,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _read_body(self) -> dict:
-        """Parse the JSON request body, refusing to read unbounded bytes.
-
-        A missing/zero ``Content-Length`` is 411 (this server does not
-        accept chunked bodies) and one beyond :attr:`MAX_BODY_BYTES` is
-        413 — in both cases the body is *never read*, so a hostile
-        header cannot make the handler allocate; the connection closes
-        since unread bytes would poison the next keep-alive request.
-        """
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            self.close_connection = True
-            raise HttpError(411, "Content-Length required")
-        try:
-            length = int(raw_length)
-        except ValueError as exc:
-            self.close_connection = True
-            raise HttpError(
-                411, f"invalid Content-Length {raw_length!r}"
-            ) from exc
-        if length <= 0:
-            self.close_connection = True
-            raise HttpError(411, "request body required")
-        if length > self.MAX_BODY_BYTES:
-            self.close_connection = True
-            raise HttpError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{self.MAX_BODY_BYTES}-byte limit",
-            )
-        try:
-            body = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            raise BadRequest(f"invalid JSON body: {exc}") from exc
-        if not isinstance(body, dict):
-            raise BadRequest("request body must be a JSON object")
-        return body
+    def _send_json(self, status: int, body: dict | list) -> None:
+        self._send(status, json.dumps(body).encode("utf-8"))
 
     def _request_deadline(self) -> Deadline | None:
         """The request's budget from ``X-Repro-Deadline-Ms`` (or None)."""
@@ -637,13 +536,8 @@ class _Handler(BaseHTTPRequestHandler):
             # Shed, not blocked: at max_inflight the cheapest honest
             # answer is an immediate 429 — the client backs off while
             # the admitted requests keep their latency.
-            self.close_connection = True
             self.context.metrics.observe(self._route(), 429, 0.0)
-            self._send_json(
-                429,
-                {"error": "server overloaded (in-flight cap reached)"},
-                headers={"Retry-After": "1"},
-            )
+            self.send_error(429, "server overloaded (in-flight cap reached)")
             return
         started = time.monotonic()
         status = 500
@@ -669,8 +563,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status, body = 400, {"error": str(exc)}
             except Exception as exc:  # reprolint: last-resort -- every handler error becomes a JSON 500
                 status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            headers = {"Retry-After": "1"} if status == 429 else None
-            self._send_json(status, body, headers=headers)
+            self._send_json(status, body)
         finally:
             self.context.metrics.observe(
                 self._route(), status, time.monotonic() - started
@@ -723,17 +616,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch(handler)
 
     def _post_search(self) -> tuple[int, dict]:
-        body = self._read_body()
+        body = self._read_json_body()
         for required in ("collection", "vector", "k"):
             if required not in body:
                 raise BadRequest(f"missing field {required!r}")
-        try:
-            vector = np.asarray(body["vector"], dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"bad vector: {exc}") from exc
         hits = self.context.search(
             str(body["collection"]),
-            vector,
+            _vector_from_json(body["vector"]),
             int(body["k"]),
             flt=filter_from_json(body.get("filter")),
             exact=bool(body.get("exact", False)),
@@ -753,7 +642,7 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _post_query(self) -> tuple[int, dict]:
-        body = self._read_body()
+        body = self._read_json_body()
         if "text" not in body:
             raise BadRequest("missing field 'text'")
         result = self.context.query(
@@ -767,7 +656,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, _result_to_json(result)
 
     def _post_upsert(self) -> tuple[int, dict]:
-        body = self._read_body()
+        body = self._read_json_body()
         for required in ("collection", "points"):
             if required not in body:
                 raise BadRequest(f"missing field {required!r}")
@@ -777,7 +666,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, self.context.upsert(str(body["collection"]), points)
 
     def _post_set_payload(self) -> tuple[int, dict]:
-        body = self._read_body()
+        body = self._read_json_body()
         for required in ("collection", "id", "payload"):
             if required not in body:
                 raise BadRequest(f"missing field {required!r}")
@@ -788,7 +677,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _post_save(self) -> tuple[int, dict]:
-        body = self._read_body()
+        body = self._read_json_body()
         for required in ("collection", "directory"):
             if required not in body:
                 raise BadRequest(f"missing field {required!r}")
@@ -797,7 +686,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _post_load(self) -> tuple[int, dict]:
-        body = self._read_body()
+        body = self._read_json_body()
         if "directory" not in body:
             raise BadRequest("missing field 'directory'")
         wal = body.get("wal")
@@ -834,7 +723,7 @@ class ServingServer:
             )
         handler = type("BoundHandler", (_Handler,), {"context": context})
         self._context = context
-        self._httpd = _TrackingHTTPServer(
+        self._httpd = TrackingHTTPServer(
             (host, port), handler, max_inflight=max_inflight
         )
         self._thread: threading.Thread | None = None

@@ -33,7 +33,9 @@ the loop.
 :class:`RouterServer` is the HTTP front: it forwards verbatim, adds
 ``GET /router/healthz`` (the router's own state: per-backend health,
 retry/failover counters), and answers 503 when no backend is in
-rotation. Start one with ``repro route --backends ...``.
+rotation. It speaks through the same edge as the serving server
+(:mod:`repro.serving.edge`): identical body framing, JSON errors and
+single-write responses. Start one with ``repro route --backends ...``.
 """
 
 from __future__ import annotations
@@ -44,9 +46,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler
 
-from repro.serving.http import _TrackingHTTPServer
+from repro.serving.edge import (
+    HttpError,
+    JsonRequestHandler,
+    TrackingHTTPServer,
+    json_error,
+)
 from repro.vectordb.deadline import Deadline
 
 __all__ = ["Backend", "ReplicaRouter", "RetryPolicy", "RouterServer"]
@@ -287,7 +293,7 @@ class ReplicaRouter:
     ) -> tuple[int, bytes]:
         primary = self._primary()
         if primary is None:
-            return 503, _json_error(
+            return 503, json_error(
                 "write primary is not in rotation; retry after it heals"
             )
         outcome = self._request(
@@ -298,7 +304,7 @@ class ReplicaRouter:
             # and let the *caller* decide whether resending is safe.
             with self._lock:
                 self._note_failure(primary)
-            return 502, _json_error(
+            return 502, json_error(
                 f"write to primary {primary.address} failed; not retried "
                 "(write outcome unknown)"
             )
@@ -317,13 +323,13 @@ class ReplicaRouter:
         last_5xx: tuple[int, bytes] | None = None
         for attempt in range(self._retry.attempts):
             if deadline is not None and deadline.expired:
-                return 504, _json_error(
+                return 504, json_error(
                     "deadline exceeded while routing (budget spent "
                     f"after {attempt} attempt(s))"
                 )
             candidates = self._read_candidates()
             if not candidates:
-                return 503, _json_error("no backend in rotation")
+                return 503, json_error("no backend in rotation")
             outcome = None
             backend = None
             for backend in candidates:
@@ -331,7 +337,7 @@ class ReplicaRouter:
                 if deadline is not None:
                     remaining = deadline.remaining_s()
                     if remaining <= 0:
-                        return 504, _json_error(
+                        return 504, json_error(
                             "deadline exceeded while routing"
                         )
                     timeout = min(timeout, remaining)
@@ -355,7 +361,7 @@ class ReplicaRouter:
                 break
             delay = self._retry.delay_s(attempt, self._rng)
             if deadline is not None and deadline.remaining_s() <= delay:
-                return 504, _json_error(
+                return 504, json_error(
                     "deadline exceeded before the next retry"
                 )
             with self._lock:
@@ -363,7 +369,7 @@ class ReplicaRouter:
             time.sleep(delay)
         if last_5xx is not None:
             return last_5xx
-        return 502, _json_error(
+        return 502, json_error(
             f"every backend failed after {self._retry.attempts} attempt(s)"
         )
 
@@ -414,37 +420,14 @@ class ReplicaRouter:
             }
 
 
-def _json_error(message: str) -> bytes:
-    return json.dumps({"error": message}).encode("utf-8")
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonRequestHandler):
     """Forwards requests through the bound :class:`ReplicaRouter`."""
 
-    protocol_version = "HTTP/1.1"
     router: ReplicaRouter  # injected by RouterServer
-    server: _TrackingHTTPServer
-
-    MAX_BODY_BYTES = 8 * 1024 * 1024
-
-    def log_message(self, *args: object) -> None:
-        """Silence per-request stderr logging."""
-
-    def _send(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if status == 429:
-            self.send_header("Retry-After", "1")
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
 
     def _forward(self, body: bytes | None) -> None:
         if not self.server.request_began():
-            self.close_connection = True
-            self._send(429, _json_error("router overloaded"))
+            self.send_error(429, "router overloaded")
             return
         try:
             headers = {
@@ -459,7 +442,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             )
             self._send(status, payload)
         except (OSError, ValueError) as exc:
-            self._send(500, _json_error(f"router error: {exc}"))
+            self._send(500, json_error(f"router error: {exc}"))
         finally:
             self.server.request_finished()
 
@@ -471,20 +454,12 @@ class _RouterHandler(BaseHTTPRequestHandler):
         self._forward(None)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib API name)
-        raw_length = self.headers.get("Content-Length")
         try:
-            length = int(raw_length) if raw_length is not None else 0
-        except ValueError:
-            length = -1
-        if length <= 0:
-            self.close_connection = True
-            self._send(411, _json_error("Content-Length required"))
+            body = self._read_body()
+        except HttpError as exc:
+            self.send_error(exc.status, str(exc))
             return
-        if length > self.MAX_BODY_BYTES:
-            self.close_connection = True
-            self._send(413, _json_error("request body too large"))
-            return
-        self._forward(self.rfile.read(length))
+        self._forward(body)
 
 
 # reprolint: disable=RL06 -- owns live sockets and threads; never pickled
@@ -508,7 +483,7 @@ class RouterServer:
             "router": router,
         })
         self._router = router
-        self._httpd = _TrackingHTTPServer(
+        self._httpd = TrackingHTTPServer(
             (host, port), handler, max_inflight=max_inflight
         )
         self._thread: threading.Thread | None = None
